@@ -24,7 +24,10 @@ COVER_MIN     ?= 75.0
 # full-adder flow).
 PROFILE_BENCH ?= CharacterizationSequential|Fig4AOI31|SweepColdPoints|StoreDiskCold
 
-.PHONY: all build test race vet fmt cover bench bench-check bench-baseline bench-profile clean-store ci
+# Mutation time of the fuzz target (CI's fuzz step uses the default).
+FUZZ_TIME     ?= 20s
+
+.PHONY: all build test test-shuffle fuzz race vet fmt cover bench bench-check bench-baseline bench-profile clean-store ci
 
 all: build test
 
@@ -33,6 +36,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-shuffle runs the suite in a random order (the seed is printed),
+# so tests coupled through shared package state show up.
+test-shuffle:
+	$(GO) test -shuffle=on ./...
+
+# fuzz mutates entries of the per-cell NLDM store codec.
+fuzz:
+	$(GO) test ./internal/flow -run '^$$' -fuzz FuzzNLDMCellDecode -fuzztime $(FUZZ_TIME)
 
 race:
 	$(GO) test -race ./...
@@ -85,4 +97,4 @@ bench-profile:
 clean-store:
 	rm -rf $(STORE_DIR)
 
-ci: fmt build vet test race cover bench-check
+ci: fmt build vet test test-shuffle fuzz race cover bench-check

@@ -50,7 +50,31 @@ var (
 	codecNLDM     = pipeline.RegisterCodec(pipeline.JSONCodec[*liberty.Model]("flow/nldm@v1"))
 	codecSTA      = pipeline.RegisterCodec(pipeline.JSONCodec[*STAReport]("flow/sta@v1"))
 	codecGDS      = pipeline.RegisterCodec(pipeline.RawCodec("flow/gds@v1"))
+	codecNLDMCell = pipeline.RegisterCodec(pipeline.NewCodec("flow/nldmcell@v1", encodeNLDMCell, decodeNLDMCell))
 )
+
+// encodeNLDMCell and decodeNLDMCell serialize one per-cell NLDM cache
+// entry. Decode validates the table shapes, so a malformed entry reads
+// as a store miss (and is recharacterized) instead of reaching the
+// timing engine's table lookups.
+func encodeNLDMCell(v any) ([]byte, error) {
+	cm, ok := v.(*liberty.CellModel)
+	if !ok {
+		return nil, fmt.Errorf("flow: nldmcell codec: encoding %T", v)
+	}
+	return json.Marshal(cm)
+}
+
+func decodeNLDMCell(data []byte) (any, error) {
+	var cm *liberty.CellModel
+	if err := json.Unmarshal(data, &cm); err != nil {
+		return nil, err
+	}
+	if err := cm.Validate(); err != nil {
+		return nil, fmt.Errorf("flow: nldmcell codec: %w", err)
+	}
+	return cm, nil
+}
 
 // placedCellJSON is the serialized form of one placed cell: everything
 // but the library cell pointer, which decode re-resolves by name.

@@ -499,15 +499,8 @@ func (k *Kit) runEnergy(lib *cells.Library, tech rules.Tech, nl *synth.Netlist, 
 	return total, nil
 }
 
-// runImmunity certifies every distinct CNFET cell of the design with the
-// deterministic critical-line enumeration, plus an optional Monte Carlo
-// sample of mcTubes tubes per network at up to mcAngle degrees of
-// misalignment. A non-zero variation model additionally composes the
-// design's functional yield from the per-cell verdicts: the cells'
-// break probabilities (MC estimate when sampled, critical-line
-// fraction otherwise) fold with the count and alignment distributions
-// over every device of every instance.
-func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Netlist, mcTubes int, mcAngle float64, seed int64, vr device.Variations) (*ImmunityResult, error) {
+// usedCells returns the distinct cells a netlist instantiates, sorted.
+func usedCells(nl *synth.Netlist) []string {
 	var names []string
 	seen := map[string]bool{}
 	for _, inst := range nl.Instances {
@@ -517,6 +510,19 @@ func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Net
 		}
 	}
 	sort.Strings(names)
+	return names
+}
+
+// runImmunity certifies every distinct CNFET cell of the design with the
+// deterministic critical-line enumeration, plus an optional Monte Carlo
+// sample of mcTubes tubes per network at up to mcAngle degrees of
+// misalignment. A non-zero variation model additionally composes the
+// design's functional yield from the per-cell verdicts: the cells'
+// break probabilities (MC estimate when sampled, critical-line
+// fraction otherwise) fold with the count and alignment distributions
+// over every device of every instance.
+func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Netlist, mcTubes int, mcAngle float64, seed int64, vr device.Variations) (*ImmunityResult, error) {
+	names := usedCells(nl)
 
 	type verdict struct {
 		name      string
@@ -599,18 +605,50 @@ func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Net
 	return res, nil
 }
 
-// runNLDM characterizes exactly the cells the design instantiates into
-// the slew-aware NLDM model the sta stage evaluates.
+// runNLDM assembles the slew-aware NLDM model the sta stage evaluates
+// over exactly the cells the design instantiates. Each cell comes from
+// the kit's per-cell cache (nldmCell), so a cell is characterized once
+// per kit — or once per store, across processes — however many
+// circuits, requests and workers use it; the cells still missing fan
+// out across the kit's workers.
 func (k *Kit) runNLDM(ctx context.Context, lib *cells.Library, nl *synth.Netlist) (*liberty.Model, error) {
-	used := map[string]bool{}
-	for _, inst := range nl.Instances {
-		used[inst.Cell] = true
+	names := usedCells(nl)
+	m := liberty.NewModel(lib, nil)
+	cms, err := pipeline.MapCtx(ctx, k.workers, names, func(_ int, name string) (*liberty.CellModel, error) {
+		return k.nldmCell(ctx, lib, name, m.SlewsS, m.LoadsF)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return liberty.CharacterizeCtx(ctx, lib, nil, func(name string) bool { return used[name] }, k.workers)
+	for i, name := range names {
+		m.Cells[name] = cms[i]
+	}
+	return m, nil
 }
 
-// runLiberty characterizes exactly the cells the design instantiates and
-// renders the Liberty (.lib) text.
+// nldmCell returns one cell's NLDM characterization over the grid,
+// memoized in the kit cache under a key of the technology, its design
+// rules, the cell and the grid — not the circuit — and persisted through
+// the store's disk tier. Concurrent lookups of one cell share a single
+// characterization. Every lookup leaves an "nldmcell/<tech>/<cell>"
+// report in the kit trace whose Cached flag tells a served cell from a
+// computed one. The returned model is shared and read-only.
+func (k *Kit) nldmCell(ctx context.Context, lib *cells.Library, name string, slews, loads []float64) (*liberty.CellModel, error) {
+	tn := strings.ToLower(lib.Tech.String())
+	key := pipeline.Key(cacheSchema, "nldmcell", tn, k.rulesKey[lib.Tech], name, slews, loads)
+	t0 := time.Now()
+	v, cached, err := k.cache.DoCodecCtx(ctx, key, codecNLDMCell, func() (any, error) {
+		return liberty.CharacterizeCell(ctx, lib, name, slews, loads)
+	})
+	k.trace.Add(pipeline.StageReport{Stage: "nldmcell/" + tn + "/" + name, Dur: time.Since(t0), Cached: cached, Err: err})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*liberty.CellModel), nil
+}
+
+// runLiberty assembles the NLDM model of exactly the cells the design
+// instantiates (runNLDM) and renders the Liberty (.lib) text.
 func (k *Kit) runLiberty(ctx context.Context, lib *cells.Library, nl *synth.Netlist) (string, error) {
 	m, err := k.runNLDM(ctx, lib, nl)
 	if err != nil {

@@ -173,7 +173,7 @@ func DefaultSlews() []float64 {
 
 // Characterize sweeps every cell and timing arc of the library across the
 // load points using the transistor-level simulator. cellFilter restricts
-// which cells to characterize (nil = all). The per-arc load sweeps — the
+// which cells to characterize (nil = all). The per-cell sweeps — the
 // expensive transient simulations — fan out across one worker per CPU;
 // the assembled model is deterministic regardless of worker count.
 func Characterize(lib *cells.Library, loads []float64, cellFilter func(string) bool) (*Model, error) {
@@ -187,63 +187,78 @@ func CharacterizeWorkers(lib *cells.Library, loads []float64, cellFilter func(st
 }
 
 // CharacterizeCtx is CharacterizeWorkers with cooperative cancellation:
-// once ctx is cancelled no further arc sweeps are dispatched and the
-// characterization returns ctx.Err().
+// once ctx is cancelled no further cells are dispatched and the
+// characterization returns ctx.Err(). It is NewModel filled by one
+// CharacterizeCell per selected cell; the cells fan out across workers.
 func CharacterizeCtx(ctx context.Context, lib *cells.Library, loads []float64, cellFilter func(string) bool, workers int) (*Model, error) {
+	m := NewModel(lib, loads)
+	var names []string
+	for _, name := range lib.Names() {
+		if cellFilter == nil || cellFilter(name) {
+			names = append(names, name)
+		}
+	}
+	cms, err := pipeline.MapCtx(ctx, workers, names, func(_ int, name string) (*CellModel, error) {
+		return CharacterizeCell(ctx, lib, name, m.SlewsS, m.LoadsF)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range names {
+		m.Cells[name] = cms[i]
+	}
+	return m, nil
+}
+
+// NewModel returns the header of lib's characterized model over a load
+// sweep (nil selects DefaultLoads) and the DefaultSlews slew sweep: its
+// name, technology and grid, with no cells yet. Filling Cells with
+// CharacterizeCell over the header's grid yields exactly the model
+// CharacterizeCtx builds.
+func NewModel(lib *cells.Library, loads []float64) *Model {
 	ref := lib.ReferenceLoad()
 	if loads == nil {
 		loads = DefaultLoads(ref)
 	}
-	slews := DefaultSlews()
-	m := &Model{
+	return &Model{
 		Name:     "cnfetdk_" + strings.ToLower(lib.Tech.String()) + "_65nm",
 		Tech:     lib.Tech.String(),
 		Cells:    map[string]*CellModel{},
 		LoadsF:   loads,
-		SlewsS:   slews,
+		SlewsS:   DefaultSlews(),
 		RefLoadF: ref,
 	}
+}
 
-	// One job per timing arc, in deterministic (cell, input) order.
-	type arcJob struct {
-		cell  string
-		input string
-		first bool // first input of the cell carries the energy row
+// CharacterizeCell sweeps every timing arc of one library cell across
+// the (slew × load) grid with the transistor-level simulator. The
+// result depends only on the library, the cell and the grid, which is
+// what lets callers cache it per cell and share it between models. ctx
+// is checked between arcs.
+func CharacterizeCell(ctx context.Context, lib *cells.Library, name string, slews, loads []float64) (*CellModel, error) {
+	c, err := lib.Get(name)
+	if err != nil {
+		return nil, fmt.Errorf("liberty: %w", err)
 	}
-	var jobs []arcJob
-	for _, name := range lib.Names() {
-		if cellFilter != nil && !cellFilter(name) {
-			continue
-		}
-		c := lib.MustGet(name)
-		cm := &CellModel{
-			Name:      name,
-			AreaLam2:  lib.Area(c, layout.Scheme1),
-			Function:  libertyFunction(c.Gate.PullDown),
-			InputCapF: map[string]float64{},
-		}
-		for k, in := range c.Inputs() {
-			cm.InputCapF[in] = lib.InputCap(c, in)
-			jobs = append(jobs, arcJob{cell: name, input: in, first: k == 0})
-		}
-		m.Cells[name] = cm
+	ref := lib.ReferenceLoad()
+	cm := &CellModel{
+		Name:      name,
+		AreaLam2:  lib.Area(c, layout.Scheme1),
+		Function:  libertyFunction(c.Gate.PullDown),
+		InputCapF: map[string]float64{},
 	}
-
-	type arcOut struct {
-		arc     Arc
-		energyJ float64
-		hasE    bool
-	}
-	outs, err := pipeline.MapCtx(ctx, workers, jobs, func(_ int, j arcJob) (arcOut, error) {
-		c := lib.MustGet(j.cell)
-		out := arcOut{arc: Arc{Input: j.input}}
+	for k, in := range c.Inputs() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cm.InputCapF[in] = lib.InputCap(c, in)
 		// The whole (slew × load) grid runs as one plan-sharing batch:
 		// the grid's testbenches are structure-identical, so the symbolic
 		// solver work is paid once per arc and each point refactorizes
 		// numerically in its own lane.
-		grid, err := lib.CharacterizeNLDM(c, j.input, slews, loads, spice.DefaultOptions())
+		grid, err := lib.CharacterizeNLDM(c, in, slews, loads, spice.DefaultOptions())
 		if err != nil {
-			return out, fmt.Errorf("liberty: %s/%s: %w", j.cell, j.input, err)
+			return nil, fmt.Errorf("liberty: %s/%s: %w", name, in, err)
 		}
 		sf := &Surface{
 			SlewsS:   append([]float64(nil), slews...),
@@ -259,33 +274,87 @@ func CharacterizeCtx(ctx context.Context, lib *cells.Library, loads []float64, c
 				sf.OutSlewS[si][li] = t.SlewOutS
 			}
 		}
-		out.arc.Surface = sf
 		// The legacy 1-D table is the grid's first slew row (the classic
 		// 5 ps testbench edge), keeping single-slew consumers and the
 		// energy row byte-identical to the pre-slew characterization.
-		out.arc.Table.LoadsF = append([]float64(nil), loads...)
-		out.arc.Table.DelaysS = append([]float64(nil), sf.DelayS[0]...)
+		arc := Arc{Input: in, Surface: sf, Table: LUT{
+			LoadsF:  append([]float64(nil), loads...),
+			DelaysS: append([]float64(nil), sf.DelayS[0]...),
+		}}
+		cm.Arcs = append(cm.Arcs, arc)
+		if k > 0 {
+			continue
+		}
+		// The first input's arc carries the energy row.
 		for i, t := range grid[0] {
-			if loads[i] == ref && j.first {
-				out.energyJ = t.EnergyJ
-				out.hasE = true
+			if loads[i] == ref {
+				cm.EnergyJ = t.EnergyJ
 			}
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	// Assemble in job order: arcs land in the same sequence the
-	// sequential implementation produced.
-	for i, j := range jobs {
-		cm := m.Cells[j.cell]
-		cm.Arcs = append(cm.Arcs, outs[i].arc)
-		if outs[i].hasE {
-			cm.EnergyJ = outs[i].energyJ
+	return cm, nil
+}
+
+// Validate checks a cell model's shape invariants, the ones table
+// lookups index by: every arc carries a slew × load surface whose axes
+// have at least two strictly increasing points and whose delay and
+// output-slew tables are rectangular over them, and a legacy table of
+// one delay per load point. Models decoded from outside the process
+// pass through it, so a malformed one is rejected instead of indexing
+// out of range during timing.
+func (c *CellModel) Validate() error {
+	if c == nil {
+		return fmt.Errorf("liberty: nil cell model")
+	}
+	if c.Name == "" {
+		return fmt.Errorf("liberty: cell model without a name")
+	}
+	for _, a := range c.Arcs {
+		if _, ok := c.InputCapF[a.Input]; !ok {
+			return fmt.Errorf("liberty: %s/%s: arc input has no pin capacitance", c.Name, a.Input)
+		}
+		sf := a.Surface
+		if sf == nil {
+			return fmt.Errorf("liberty: %s/%s: arc without a surface", c.Name, a.Input)
+		}
+		if err := checkAxis(sf.SlewsS); err != nil {
+			return fmt.Errorf("liberty: %s/%s: slew axis: %w", c.Name, a.Input, err)
+		}
+		if err := checkAxis(sf.LoadsF); err != nil {
+			return fmt.Errorf("liberty: %s/%s: load axis: %w", c.Name, a.Input, err)
+		}
+		for _, tab := range [][][]float64{sf.DelayS, sf.OutSlewS} {
+			if len(tab) != len(sf.SlewsS) {
+				return fmt.Errorf("liberty: %s/%s: %d table rows for %d slews", c.Name, a.Input, len(tab), len(sf.SlewsS))
+			}
+			for _, row := range tab {
+				if len(row) != len(sf.LoadsF) {
+					return fmt.Errorf("liberty: %s/%s: %d table columns for %d loads", c.Name, a.Input, len(row), len(sf.LoadsF))
+				}
+			}
+		}
+		if len(a.Table.LoadsF) != len(sf.LoadsF) || len(a.Table.DelaysS) != len(sf.LoadsF) {
+			return fmt.Errorf("liberty: %s/%s: legacy table does not span the load axis", c.Name, a.Input)
+		}
+		if err := checkAxis(a.Table.LoadsF); err != nil {
+			return fmt.Errorf("liberty: %s/%s: legacy load axis: %w", c.Name, a.Input, err)
 		}
 	}
-	return m, nil
+	return nil
+}
+
+// checkAxis requires at least two strictly increasing points, the shape
+// the interpolators' bracketing and extrapolation assume.
+func checkAxis(xs []float64) error {
+	if len(xs) < 2 {
+		return fmt.Errorf("%d points, want at least 2", len(xs))
+	}
+	for i := 1; i < len(xs); i++ {
+		if !(xs[i] > xs[i-1]) {
+			return fmt.Errorf("not strictly increasing at point %d", i)
+		}
+	}
+	return nil
 }
 
 // libertyFunction renders the cell output function (the complement of the
