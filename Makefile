@@ -24,7 +24,7 @@ COVER_MIN     ?= 75.0
 # full-adder flow).
 PROFILE_BENCH ?= CharacterizationSequential|Fig4AOI31|SweepColdPoints|StoreDiskCold
 
-# Mutation time of the fuzz target (CI's fuzz step uses the default).
+# Mutation time of each fuzz target (CI's fuzz steps use the default).
 FUZZ_TIME     ?= 20s
 
 .PHONY: all build test test-shuffle fuzz race vet fmt cover bench bench-check bench-baseline bench-profile clean-store ci
@@ -42,9 +42,12 @@ test:
 test-shuffle:
 	$(GO) test -shuffle=on ./...
 
-# fuzz mutates entries of the per-cell NLDM store codec.
+# fuzz mutates entries of the per-cell NLDM store codec, then netlist
+# sources through synth.Parse and Compile (checked against the map
+# oracle), each for FUZZ_TIME.
 fuzz:
 	$(GO) test ./internal/flow -run '^$$' -fuzz FuzzNLDMCellDecode -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/synth -run '^$$' -fuzz FuzzSynthParse -fuzztime $(FUZZ_TIME)
 
 race:
 	$(GO) test -race ./...

@@ -862,6 +862,35 @@ func BenchmarkSTAIncremental(b *testing.B) {
 	b.ReportMetric(float64(eng.Instances()), "instances")
 }
 
+// benchNetlistVerify times the netlist stage's spec check on a registry
+// circuit at its registered sample count: compile, pack the vectors 64
+// to a word, simulate bit-parallel and compare against the compiled
+// spec.
+func benchNetlistVerify(b *testing.B, circuit string) {
+	b.ReportAllocs()
+	c, err := flow.LookupCircuit(circuit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := c.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := c.Spec()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := nl.VerifySampled(spec, c.SpecSamples); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNetlistVerifyRCA16 is rca16's sampled check (2048 vectors).
+func BenchmarkNetlistVerifyRCA16(b *testing.B) { benchNetlistVerify(b, "rca16") }
+
+// BenchmarkNetlistVerifyMult8 is mult8's exhaustive check (2^16 vectors).
+func BenchmarkNetlistVerifyMult8(b *testing.B) { benchNetlistVerify(b, "mult8") }
+
 // delaySweepCaps is the wire-cap axis of the sweep-comparison pair:
 // three interconnect corners around the kit default.
 var delaySweepCaps = []float64{0.03e-18, 0.06e-18, 0.12e-18}

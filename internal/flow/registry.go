@@ -157,10 +157,8 @@ func init() {
 		Name:        "mult8",
 		Description: "8-bit ripple-carry array multiplier (AND array + HA/FA rows)",
 		Build:       func() (*synth.Netlist, error) { return synth.ArrayMultiplier(8), nil },
-		// No Spec: the folded multiplier specification's expression tree
-		// is exponential to evaluate at 8 bits. The netlist's arithmetic
-		// is instead verified directly against integer products in the
-		// synth package's tests.
+		// Verified exhaustively: 2^16 vectors, 1024 bit-parallel words.
+		Spec: func() map[string]*logic.Expr { return synth.ArrayMultiplierSpec(8) },
 		// A=0xFF, B=B0: P = 255·B0, so toggling B0 toggles every product
 		// bit through the partial-product array and seven adder rows.
 		Stimulus: Stimulus{Static: func() map[string]bool {

@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"cnfetdk/internal/synth"
@@ -64,4 +66,39 @@ func TestRegisterCircuitDuplicatePanics(t *testing.T) {
 		}
 	}()
 	RegisterCircuit(Circuit{Name: "fulladder", Build: func() (*synth.Netlist, error) { return nil, nil }})
+}
+
+// TestMult8CellSwapFailsNetlistStage: one NAND2 of mult8 turned into a
+// NOR2 must fail the netlist stage's exhaustive spec check.
+func TestMult8CellSwapFailsNetlistStage(t *testing.T) {
+	orig, err := LookupCircuit("mult8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant := *orig
+	mutant.Name = "mult8-nor-swap"
+	mutant.Build = func() (*synth.Netlist, error) {
+		nl, err := orig.Build()
+		if err != nil {
+			return nil, err
+		}
+		for i := range nl.Instances {
+			if nl.Instances[i].Cell == "NAND2_1X" {
+				nl.Instances[i].Cell = "NOR2_1X"
+				return nl, nil
+			}
+		}
+		t.Fatal("mult8 has no NAND2_1X")
+		return nil, nil
+	}
+	RegisterCircuit(mutant)
+	t.Cleanup(func() {
+		registryMu.Lock()
+		delete(registry, mutant.Name)
+		registryMu.Unlock()
+	})
+	_, err = kit(t).Run(context.Background(), Request{Circuit: mutant.Name, Techs: []string{"cnfet"}})
+	if err == nil || !strings.Contains(err.Error(), "synth: output") {
+		t.Fatalf("netlist stage on the swapped mult8: err = %v, want a spec mismatch", err)
+	}
 }

@@ -4,18 +4,18 @@
 // (receiver input pins plus extracted wire), arrival and transition
 // times propagated level by level, and the critical path traced back.
 //
-// The Engine is built once per netlist (net/instance interning, CSR
-// adjacency, Kahn levelization) and then reanalyzed allocation-free in
-// steady state; SetLoad/SetCell/Invalidate dirty only the fan-out cone
-// of the change, so an N-point timing sweep costs one build plus N cone
-// repropagations instead of N transistor-level transients.
+// The Engine is built once per netlist, on synth.Compile's interned
+// ids, CSR adjacency and Kahn levels, and then reanalyzed
+// allocation-free in steady state; SetLoad/SetCell/Invalidate dirty
+// only the fan-out cone of the change, so an N-point timing sweep costs
+// one build plus N cone repropagations instead of N transistor-level
+// transients.
 package sta
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"cnfetdk/internal/liberty"
 	"cnfetdk/internal/pipeline"
@@ -86,25 +86,14 @@ type instRec struct {
 type Engine struct {
 	model *liberty.Model
 
-	nets  []string
-	netID map[string]int32
-	outs  []int32 // report nets: primary outputs, or every net
+	// c supplies net and instance ids, the driver table, CSR fan-out
+	// (c.FanStart/c.FanEdges) and the level schedule
+	// (c.LevelStart/c.LevelOrder).
+	c    *synth.Compiled
+	outs []int32 // report nets: primary outputs, or every net
 
-	insts    []instRec
-	instName []string
-	instID   map[string]int32
-	driver   []int32 // per net: driving instance, -1 = primary input
-
-	// CSR fan-out: fanEdges[fanStart[n]:fanStart[n+1]] lists the
-	// instances reading net n (one entry per reading pin).
-	fanStart []int32
-	fanEdges []int32
-
-	// Levelization: levelOrder is every instance in topological order;
-	// levelStart[l]:levelStart[l+1] brackets level l's bucket. Within a
-	// level, instances appear in netlist order.
-	levelStart []int32
-	levelOrder []int32
+	insts  []instRec
+	instID map[string]int32
 
 	inputSlewS float64
 
@@ -124,193 +113,66 @@ type Engine struct {
 	worstAt float64
 }
 
-// NewEngine interns the netlist into CSR form, levelizes it, and runs
-// the initial full analysis. wireCapF (may be nil) supplies per-net wire
-// capacitance; nets absent from the netlist are ignored.
+// NewEngine compiles the netlist (synth.Compile: interning, CSR
+// fan-out, levelization), binds every instance pin to its NLDM arc, and
+// runs the initial full analysis. wireCapF (may be nil) supplies
+// per-net wire capacitance; nets absent from the netlist are ignored.
 func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64) (*Engine, error) {
-	nets := nl.Nets()
-	n := len(nets)
+	c, err := synth.Compile(nl)
+	if err != nil {
+		return nil, fmt.Errorf("sta: %w", err)
+	}
+	n := len(c.Nets)
 	e := &Engine{
 		model:      m,
-		nets:       nets,
-		netID:      make(map[string]int32, n),
+		c:          c,
 		inputSlewS: DefaultInputSlewS,
-		driver:     make([]int32, n),
 		wireF:      make([]float64, n),
 		pinF:       make([]float64, n),
 		arrival:    make([]float64, n),
 		slew:       make([]float64, n),
 		prevNet:    make([]int32, n),
+		insts:      make([]instRec, len(c.Insts)),
+		instID:     make(map[string]int32, len(c.Insts)),
+		instDelay:  make([]float64, len(c.Insts)),
+		dirty:      make([]bool, len(c.Insts)),
 	}
-	for i, name := range nets {
-		e.netID[name] = int32(i)
-		e.driver[i] = -1
+	for i := range e.prevNet {
 		e.prevNet[i] = -1
 	}
-	for net, c := range wireCapF {
-		if id, ok := e.netID[net]; ok {
-			e.wireF[id] = c
+	for net, capF := range wireCapF {
+		if id, ok := c.NetID(net); ok {
+			e.wireF[id] = capF
 		}
 	}
 
-	e.insts = make([]instRec, len(nl.Instances))
-	e.instName = make([]string, len(nl.Instances))
-	e.instID = make(map[string]int32, len(nl.Instances))
-	e.instDelay = make([]float64, len(nl.Instances))
-	e.dirty = make([]bool, len(nl.Instances))
-	for idx, inst := range nl.Instances {
-		cm, ok := m.Cells[inst.Cell]
+	npins := 0
+	for _, ci := range c.Insts {
+		npins += len(ci.PinNets)
+	}
+	pins := make([]pinRef, 0, npins)
+	for idx, ci := range c.Insts {
+		cm, ok := m.Cells[ci.Cell]
 		if !ok {
-			return nil, fmt.Errorf("sta: cell %q not characterized", inst.Cell)
+			return nil, fmt.Errorf("sta: cell %q not characterized", ci.Cell)
 		}
-		outNet, ok := inst.Conns["OUT"]
-		if !ok {
-			return nil, fmt.Errorf("sta: instance %q has no OUT pin", inst.Name)
-		}
-		out := e.netID[outNet]
-		if e.driver[out] >= 0 {
-			return nil, fmt.Errorf("sta: net %q driven by both %q and %q",
-				outNet, e.instName[e.driver[out]], inst.Name)
-		}
-		e.driver[out] = int32(idx)
-		e.instName[idx] = inst.Name
-		e.instID[inst.Name] = int32(idx)
-
-		pins := make([]string, 0, len(inst.Conns)-1)
-		for pin := range inst.Conns {
-			if pin != "OUT" {
-				pins = append(pins, pin)
-			}
-		}
-		sort.Strings(pins)
-		rec := &e.insts[idx]
-		rec.cell = cm
-		rec.out = out
-		rec.pins = make([]pinRef, 0, len(pins))
-		for _, pin := range pins {
-			net := e.netID[inst.Conns[pin]]
+		e.instID[ci.Name] = int32(idx)
+		start := len(pins)
+		for k, pin := range ci.PinNames {
 			arc := cm.Arc(pin)
 			if arc == nil {
-				return nil, fmt.Errorf("sta: %s has no arc for pin %s", inst.Cell, pin)
+				return nil, fmt.Errorf("sta: %s has no arc for pin %s", ci.Cell, pin)
 			}
+			net := ci.PinNets[k]
 			capF := cm.InputCapF[pin]
-			rec.pins = append(rec.pins, pinRef{name: pin, net: net, arc: arc, capF: capF})
+			pins = append(pins, pinRef{name: pin, net: net, arc: arc, capF: capF})
 			e.pinF[net] += capF
 		}
-	}
-
-	isInput := make([]bool, n)
-	for _, in := range nl.Inputs {
-		id, ok := e.netID[in]
-		if !ok {
-			continue // declared input never connected; nothing to time
-		}
-		if e.driver[id] >= 0 {
-			return nil, fmt.Errorf("sta: primary input %q is driven by %q",
-				in, e.instName[e.driver[id]])
-		}
-		isInput[id] = true
-	}
-	for _, rec := range e.insts {
-		for _, p := range rec.pins {
-			if e.driver[p.net] < 0 && !isInput[p.net] {
-				return nil, fmt.Errorf("sta: net %q is undriven", e.nets[p.net])
-			}
-		}
-	}
-
-	// CSR fan-out (readers per net, in instance order).
-	e.fanStart = make([]int32, n+1)
-	for _, rec := range e.insts {
-		for _, p := range rec.pins {
-			e.fanStart[p.net+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		e.fanStart[i+1] += e.fanStart[i]
-	}
-	e.fanEdges = make([]int32, e.fanStart[n])
-	fill := make([]int32, n)
-	copy(fill, e.fanStart[:n])
-	for idx := range e.insts {
-		for _, p := range e.insts[idx].pins {
-			e.fanEdges[fill[p.net]] = int32(idx)
-			fill[p.net]++
-		}
-	}
-
-	// Kahn levelization over instances: an instance's level is one past
-	// the deepest driver of its inputs (0 when fed by primary inputs
-	// only). A residue after the queue drains is a combinational cycle.
-	level := make([]int32, len(e.insts))
-	indeg := make([]int32, len(e.insts))
-	for idx := range e.insts {
-		for _, p := range e.insts[idx].pins {
-			if e.driver[p.net] >= 0 {
-				indeg[idx]++
-			}
-		}
-	}
-	queue := make([]int32, 0, len(e.insts))
-	for idx := range e.insts {
-		if indeg[idx] == 0 {
-			queue = append(queue, int32(idx))
-		}
-	}
-	processed := 0
-	maxLevel := int32(-1)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		processed++
-		lv := int32(0)
-		rec := &e.insts[i]
-		for _, p := range rec.pins {
-			if d := e.driver[p.net]; d >= 0 && level[d]+1 > lv {
-				lv = level[d] + 1
-			}
-		}
-		level[i] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-		out := rec.out
-		for _, r := range e.fanEdges[e.fanStart[out]:e.fanStart[out+1]] {
-			indeg[r]--
-			if indeg[r] == 0 {
-				queue = append(queue, r)
-			}
-		}
-	}
-	if processed != len(e.insts) {
-		return nil, fmt.Errorf("sta: netlist is cyclic (%d of %d instances levelize)",
-			processed, len(e.insts))
-	}
-
-	// Bucket instances by level; netlist order within a bucket keeps the
-	// schedule deterministic regardless of Kahn pop order.
-	e.levelStart = make([]int32, maxLevel+2)
-	for _, lv := range level {
-		e.levelStart[lv+1]++
-	}
-	for l := 0; l < len(e.levelStart)-1; l++ {
-		e.levelStart[l+1] += e.levelStart[l]
-	}
-	e.levelOrder = make([]int32, len(e.insts))
-	lfill := make([]int32, maxLevel+1)
-	copy(lfill, e.levelStart[:maxLevel+1])
-	for idx := range e.insts {
-		lv := level[idx]
-		e.levelOrder[lfill[lv]] = int32(idx)
-		lfill[lv]++
+		e.insts[idx] = instRec{cell: cm, out: ci.Out, pins: pins[start:len(pins):len(pins)]}
 	}
 
 	if len(nl.Outputs) > 0 {
-		for _, o := range nl.Outputs {
-			if id, ok := e.netID[o]; ok {
-				e.outs = append(e.outs, id)
-			}
-		}
+		e.outs = c.Outputs
 	} else {
 		e.outs = make([]int32, n)
 		for i := range e.outs {
@@ -327,7 +189,7 @@ func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64)
 }
 
 // Levels returns the design's logic depth (levelization bucket count).
-func (e *Engine) Levels() int { return len(e.levelStart) - 1 }
+func (e *Engine) Levels() int { return len(e.c.LevelStart) - 1 }
 
 // Instances returns the number of timed instances.
 func (e *Engine) Instances() int { return len(e.insts) }
@@ -344,7 +206,7 @@ func (e *Engine) WorstNet() string {
 	if e.worstID < 0 {
 		return ""
 	}
-	return e.nets[e.worstID]
+	return e.c.Nets[e.worstID]
 }
 
 // evalInst recomputes one instance: the output net's arrival, slew and
@@ -393,7 +255,7 @@ func (e *Engine) updateWorst() {
 // order — the sequential, allocation-free steady-state path. The engine
 // is left clean (no pending invalidations).
 func (e *Engine) Analyze() {
-	for _, i := range e.levelOrder {
+	for _, i := range e.c.LevelOrder {
 		e.evalInst(i)
 		e.dirty[i] = false
 	}
@@ -408,8 +270,8 @@ func (e *Engine) Analyze() {
 // evaluation writes only its own output slots — so results are identical
 // to the sequential pass at any worker count.
 func (e *Engine) AnalyzeCtx(ctx context.Context, workers int) error {
-	for l := 0; l+1 < len(e.levelStart); l++ {
-		bucket := e.levelOrder[e.levelStart[l]:e.levelStart[l+1]]
+	for l := 0; l+1 < len(e.c.LevelStart); l++ {
+		bucket := e.c.LevelOrder[e.c.LevelStart[l]:e.c.LevelStart[l+1]]
 		if _, err := pipeline.MapCtx(ctx, workers, bucket, func(_ int, i int32) (struct{}, error) {
 			e.evalInst(i)
 			return struct{}{}, nil
@@ -437,7 +299,7 @@ func (e *Engine) markDirty(i int32) {
 // (the only instance whose delay reads that load). The change takes
 // effect at the next Reanalyze.
 func (e *Engine) SetLoad(net string, wireCapF float64) error {
-	id, ok := e.netID[net]
+	id, ok := e.c.NetID(net)
 	if !ok {
 		return fmt.Errorf("sta: unknown net %q", net)
 	}
@@ -445,7 +307,7 @@ func (e *Engine) SetLoad(net string, wireCapF float64) error {
 		return nil
 	}
 	e.wireF[id] = wireCapF
-	if d := e.driver[id]; d >= 0 {
+	if d := e.c.Driver[id]; d >= 0 {
 		e.markDirty(d)
 	}
 	return nil
@@ -483,7 +345,7 @@ func (e *Engine) SetCell(inst, cell string) error {
 		if capF := cm.InputCapF[p.name]; capF != p.capF {
 			e.pinF[p.net] += capF - p.capF
 			p.capF = capF
-			if d := e.driver[p.net]; d >= 0 {
+			if d := e.c.Driver[p.net]; d >= 0 {
 				e.markDirty(d)
 			}
 		}
@@ -496,14 +358,14 @@ func (e *Engine) SetCell(inst, cell string) error {
 // Invalidate force-dirties a net's driver and readers — the hook for
 // changes the engine cannot see (a characterization refresh, say).
 func (e *Engine) Invalidate(net string) error {
-	id, ok := e.netID[net]
+	id, ok := e.c.NetID(net)
 	if !ok {
 		return fmt.Errorf("sta: unknown net %q", net)
 	}
-	if d := e.driver[id]; d >= 0 {
+	if d := e.c.Driver[id]; d >= 0 {
 		e.markDirty(d)
 	}
-	for _, r := range e.fanEdges[e.fanStart[id]:e.fanStart[id+1]] {
+	for _, r := range e.c.FanEdges[e.c.FanStart[id]:e.c.FanStart[id+1]] {
 		e.markDirty(r)
 	}
 	return nil
@@ -520,7 +382,7 @@ func (e *Engine) Reanalyze() int {
 	if !e.pending {
 		return 0
 	}
-	for _, i := range e.levelOrder {
+	for _, i := range e.c.LevelOrder {
 		if !e.dirty[i] {
 			continue
 		}
@@ -530,7 +392,7 @@ func (e *Engine) Reanalyze() int {
 		e.evalInst(i)
 		e.touched++
 		if e.arrival[out] != oldAt || e.slew[out] != oldSlew {
-			for _, r := range e.fanEdges[e.fanStart[out]:e.fanStart[out+1]] {
+			for _, r := range e.c.FanEdges[e.c.FanStart[out]:e.c.FanStart[out+1]] {
 				e.markDirty(r)
 			}
 		}
@@ -544,21 +406,21 @@ func (e *Engine) Reanalyze() int {
 // analysis itself does not).
 func (e *Engine) Report() *Result {
 	r := &Result{
-		Arrival:       make(map[string]float64, len(e.nets)),
+		Arrival:       make(map[string]float64, len(e.c.Nets)),
 		InstanceDelay: make(map[string]float64, len(e.insts)),
 		Levels:        e.Levels(),
 	}
-	for id, name := range e.nets {
+	for id, name := range e.c.Nets {
 		r.Arrival[name] = e.arrival[id]
 	}
-	for i, name := range e.instName {
-		r.InstanceDelay[name] = e.instDelay[i]
+	for i, ci := range e.c.Insts {
+		r.InstanceDelay[ci.Name] = e.instDelay[i]
 	}
 	if e.worstID >= 0 {
-		r.WorstNet = e.nets[e.worstID]
+		r.WorstNet = e.c.Nets[e.worstID]
 		r.WorstArrivalS = e.worstAt
 		for id := e.worstID; id >= 0; id = e.prevNet[id] {
-			r.CriticalPath = append(r.CriticalPath, e.nets[id])
+			r.CriticalPath = append(r.CriticalPath, e.c.Nets[id])
 		}
 		for i, j := 0, len(r.CriticalPath)-1; i < j; i, j = i+1, j-1 {
 			r.CriticalPath[i], r.CriticalPath[j] = r.CriticalPath[j], r.CriticalPath[i]

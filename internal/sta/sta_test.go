@@ -113,9 +113,11 @@ func TestAnalyzePicksWorstArc(t *testing.T) {
 func TestInstanceDelayWorstPathOnly(t *testing.T) {
 	m := fakeModel()
 	// Pin A's arc is much slower than pin B's, but B's input arrives so
-	// late that the worst path still runs through B.
-	m.Cells["SKEW_1X"] = &liberty.CellModel{
-		Name:      "SKEW_1X",
+	// late that the worst path still runs through B. The skewed cell is a
+	// NAND2 variant: the engine compiles the netlist, so every cell needs
+	// a library function.
+	m.Cells["NAND2_SKEW"] = &liberty.CellModel{
+		Name:      "NAND2_SKEW",
 		InputCapF: map[string]float64{"A": 1e-15, "B": 1e-15},
 		Arcs: []liberty.Arc{
 			{Input: "A", Table: liberty.LUT{LoadsF: []float64{1e-15}, DelaysS: []float64{30e-12}}},
@@ -130,7 +132,7 @@ func TestInstanceDelayWorstPathOnly(t *testing.T) {
 			{Name: "slow1", Cell: "INV_1X", Conns: map[string]string{"A": "B", "OUT": "m1"}},
 			{Name: "slow2", Cell: "INV_1X", Conns: map[string]string{"A": "m1", "OUT": "m2"}},
 			{Name: "slow3", Cell: "INV_1X", Conns: map[string]string{"A": "m2", "OUT": "m3"}},
-			{Name: "u", Cell: "SKEW_1X", Conns: map[string]string{"A": "A", "B": "m3", "OUT": "Y"}},
+			{Name: "u", Cell: "NAND2_SKEW", Conns: map[string]string{"A": "A", "B": "m3", "OUT": "Y"}},
 		},
 	}
 	res, err := Analyze(nl, m, nil)

@@ -119,11 +119,11 @@ func TestArrayMultiplierSpecMatchesArithmetic(t *testing.T) {
 	}
 }
 
-// TestArrayMultiplier8Arithmetic verifies the 8-bit multiplier netlist
-// directly against integer products. The folded Boolean spec is
-// exponential to evaluate at this width (which is why the mult8 registry
-// entry carries no Spec), but netlist evaluation is linear in gates, so
-// a deterministic sample of the 65536-product space runs in milliseconds.
+// TestArrayMultiplier8Arithmetic checks the 8-bit multiplier netlist
+// against integer products rather than the folded Boolean spec, so a
+// mistake shared by ArrayMultiplier and ArrayMultiplierSpec (the same
+// adder recurrence) still shows. The exhaustive spec check is the mult8
+// registry entry's netlist stage.
 func TestArrayMultiplier8Arithmetic(t *testing.T) {
 	nl := ArrayMultiplier(8)
 	if len(nl.Inputs) != 16 || len(nl.Outputs) != 16 {

@@ -1,13 +1,17 @@
 // Package synth provides the front of the logic-to-GDSII flow: a small
 // structural netlist model, a text netlist parser, a NAND/INV technology
-// mapper for combinational expressions, and logic-level verification of
-// mapped netlists against their specification.
+// mapper for combinational expressions, the compiled netlist form
+// (Compile) that bit-parallel simulation and static timing share, and
+// logic-level verification of mapped netlists against their
+// specification.
 package synth
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,11 +36,22 @@ type Netlist struct {
 
 // Nets returns all net names in deterministic order.
 func (n *Netlist) Nets() []string {
-	seen := map[string]bool{}
-	var out []string
+	nets, _ := n.internNets()
+	return nets
+}
+
+// internNets returns the sorted distinct net names (primary inputs and
+// every connection) and each name's index in that list.
+func (n *Netlist) internNets() ([]string, map[string]int32) {
+	size := len(n.Inputs)
+	for _, inst := range n.Instances {
+		size += len(inst.Conns)
+	}
+	id := make(map[string]int32, size)
+	out := make([]string, 0, size)
 	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
+		if _, ok := id[s]; !ok {
+			id[s] = 0
 			out = append(out, s)
 		}
 	}
@@ -48,8 +63,11 @@ func (n *Netlist) Nets() []string {
 			add(net)
 		}
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	for i, s := range out {
+		id[s] = int32(i)
+	}
+	return out, id
 }
 
 // FanoutCount returns how many instance inputs each net drives.
@@ -173,74 +191,37 @@ func baseName(cell string) string {
 	return cell
 }
 
-// Evaluate computes all net values for one input assignment by iterating
-// gate evaluation to a fixed point (the netlist must be combinational).
+// Evaluate computes every net's value under one input assignment: one
+// lane of Compile(n).Simulate.
 func (n *Netlist) Evaluate(in map[string]bool) (map[string]bool, error) {
-	vals := map[string]bool{}
-	for _, i := range n.Inputs {
-		v, ok := in[i]
+	words := make([]uint64, len(n.Inputs))
+	for k, name := range n.Inputs {
+		v, ok := in[name]
 		if !ok {
-			return nil, fmt.Errorf("synth: input %q not assigned", i)
+			return nil, fmt.Errorf("synth: input %q not assigned", name)
 		}
-		vals[i] = v
-	}
-	exprs := map[string]*logic.Expr{}
-	for base, f := range CellFunctions {
-		exprs[base] = logic.MustParse(f)
-	}
-	for pass := 0; pass <= len(n.Instances); pass++ {
-		progress := false
-		done := true
-		for _, inst := range n.Instances {
-			out := inst.Conns["OUT"]
-			if _, ok := vals[out]; ok {
-				continue
-			}
-			e, ok := exprs[baseName(inst.Cell)]
-			if !ok {
-				return nil, fmt.Errorf("synth: unknown cell %q", inst.Cell)
-			}
-			env := map[string]bool{}
-			ready := true
-			for _, v := range e.Vars() {
-				net, ok := inst.Conns[v]
-				if !ok {
-					return nil, fmt.Errorf("synth: %s: pin %s unbound", inst.Name, v)
-				}
-				val, ok := vals[net]
-				if !ok {
-					ready = false
-					break
-				}
-				env[v] = val
-			}
-			if !ready {
-				done = false
-				continue
-			}
-			vals[out] = !e.Eval(env) // cells are inverting: out = f'
-			progress = true
-		}
-		if done {
-			return vals, nil
-		}
-		if !progress {
-			return nil, fmt.Errorf("synth: netlist is cyclic or has undriven nets")
+		if v {
+			words[k] = 1
 		}
 	}
-	return vals, nil
+	c, err := Compile(n)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]uint64, c.Slots())
+	c.Simulate(words, vals)
+	out := make(map[string]bool, len(c.Nets))
+	for id, name := range c.Nets {
+		out[name] = vals[id]&1 == 1
+	}
+	return out, nil
 }
 
 // Verify checks the netlist implements the given output functions over the
 // primary inputs (exhaustively).
 func (n *Netlist) Verify(spec map[string]*logic.Expr) error {
 	rows := 1 << len(n.Inputs)
-	for v := 0; v < rows; v++ {
-		if err := n.verifyVector(spec, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.verifyVectors(spec, rows, func(i int) uint64 { return uint64(i) })
 }
 
 // VerifySampled checks the netlist against the spec on a deterministic
@@ -251,59 +232,100 @@ func (n *Netlist) Verify(spec map[string]*logic.Expr) error {
 // replaces the 2^inputs exhaustive scan that would dominate the netlist
 // stage; samples >= 2^inputs degrades to the exhaustive Verify.
 func (n *Netlist) VerifySampled(spec map[string]*logic.Expr, samples int) error {
-	bits := len(n.Inputs)
-	if bits < 63 && (samples <= 0 || 1<<uint(bits) <= samples) {
+	seq := sampleVectors(len(n.Inputs), samples)
+	if seq == nil {
 		return n.Verify(spec)
 	}
+	return n.verifyVectors(spec, len(seq), func(i int) uint64 { return seq[i] })
+}
+
+// sampleVectors returns VerifySampled's vector sequence over bits
+// inputs, or nil when samples calls for the exhaustive scan.
+func sampleVectors(bits, samples int) []uint64 {
+	if bits < 63 && (samples <= 0 || 1<<uint(bits) <= samples) {
+		return nil
+	}
 	rows := uint64(1) << uint(bits)
-	tried := map[uint64]bool{}
-	try := func(v uint64) error {
-		if tried[v] {
-			return nil
+	tried := make(map[uint64]bool, samples)
+	var seq []uint64
+	try := func(v uint64) {
+		if !tried[v] {
+			tried[v] = true
+			seq = append(seq, v)
 		}
-		tried[v] = true
-		return n.verifyVector(spec, int(v))
 	}
-	if err := try(0); err != nil {
-		return err
-	}
-	if err := try(rows - 1); err != nil {
-		return err
-	}
+	try(0)
+	try(rows - 1)
 	for k := 0; k < bits; k++ {
-		if err := try(uint64(1) << uint(k)); err != nil {
-			return err
-		}
+		try(uint64(1) << uint(k))
 	}
 	// Fixed-seed LCG (Numerical Recipes constants): the sample is part
 	// of the circuit's contract, so it must be reproducible everywhere.
 	x := uint64(0x9E3779B97F4A7C15)
-	for len(tried) < samples {
+	for len(seq) < samples {
 		x = x*6364136223846793005 + 1442695040888963407
-		if err := try(x >> (64 - uint(bits))); err != nil {
-			return err
-		}
+		try(x >> (64 - uint(bits)))
 	}
-	return nil
+	return seq
 }
 
-// verifyVector checks one input vector v against the spec.
-func (n *Netlist) verifyVector(spec map[string]*logic.Expr, v int) error {
-	in := map[string]bool{}
-	for k, name := range n.Inputs {
-		in[name] = v>>uint(k)&1 == 1
-	}
-	vals, err := n.Evaluate(in)
+// verifyVectors checks the spec on count input vectors, vector(i) being
+// sample i (bit k drives input k). Samples are packed 64 to a word in
+// order and simulated bit-parallel; a failure names the lowest failing
+// sample and, on it, the first failing output in sorted order.
+func (n *Netlist) verifyVectors(spec map[string]*logic.Expr, count int, vector func(i int) uint64) error {
+	c, err := Compile(n)
 	if err != nil {
 		return err
 	}
-	for out, e := range spec {
-		got, ok := vals[out]
+	outs := make([]string, 0, len(spec))
+	for o := range spec {
+		outs = append(outs, o)
+	}
+	sort.Strings(outs)
+	ids := make([]int32, len(outs))
+	exprs := make([]*logic.Expr, len(outs))
+	for j, o := range outs {
+		id, ok := c.NetID(o)
 		if !ok {
-			return fmt.Errorf("synth: output %q undriven", out)
+			return fmt.Errorf("synth: output %q undriven", o)
 		}
-		if want := e.Eval(in); got != want {
-			return fmt.Errorf("synth: output %q wrong on vector %b: got %v want %v", out, v, got, want)
+		ids[j], exprs[j] = id, spec[o]
+	}
+	prog, err := logic.CompileWords(n.Inputs, exprs...)
+	if err != nil {
+		return fmt.Errorf("synth: spec: %w", err)
+	}
+	in := make([]uint64, len(n.Inputs))
+	vals := make([]uint64, c.Slots())
+	want := make([]uint64, prog.Slots)
+	for base := 0; base < count; base += 64 {
+		lanes := min(64, count-base)
+		clear(in)
+		for l := 0; l < lanes; l++ {
+			v := vector(base + l)
+			for k := range in {
+				in[k] |= (v >> uint(k) & 1) << uint(l)
+			}
+		}
+		c.Simulate(in, vals)
+		copy(want, in)
+		logic.RunWords(prog.Ops, want)
+		mask := ^uint64(0) >> uint(64-lanes)
+		bad := uint64(0)
+		for j, id := range ids {
+			bad |= (vals[id] ^ want[prog.Roots[j]]) & mask
+		}
+		if bad == 0 {
+			continue
+		}
+		l := uint(bits.TrailingZeros64(bad))
+		for j, id := range ids {
+			got, exp := vals[id]>>l&1 == 1, want[prog.Roots[j]]>>l&1 == 1
+			if got != exp {
+				return fmt.Errorf("synth: output %q wrong on vector %b: got %v want %v",
+					outs[j], vector(base+int(l)), got, exp)
+			}
 		}
 	}
 	return nil

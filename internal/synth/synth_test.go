@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,6 +130,91 @@ func TestVerifySampledCatchesWrongNetlist(t *testing.T) {
 	}
 	if err := nl.VerifySampled(RippleCarryAdderSpec(8), 64); err == nil {
 		t.Fatal("sampled verification missed a swapped Sum/Carry")
+	}
+}
+
+// TestVerifyFailureDeterministic: a broken netlist fails with the same
+// message on every run — the lowest failing sample, then the first
+// failing output in sorted order — whatever the spec map's order.
+func TestVerifyFailureDeterministic(t *testing.T) {
+	nl := RippleCarryAdder(8)
+	for i := range nl.Instances {
+		if nl.Instances[i].Cell == "NAND2_2X" {
+			nl.Instances[i].Cell = "NOR2_2X"
+			break
+		}
+	}
+	first := nl.VerifySampled(RippleCarryAdderSpec(8), 4096)
+	if first == nil {
+		t.Fatal("sampled verification missed a NAND2->NOR2 swap")
+	}
+	for run := 0; run < 20; run++ {
+		if err := nl.VerifySampled(RippleCarryAdderSpec(8), 4096); err == nil || err.Error() != first.Error() {
+			t.Fatalf("run %d: %v, want %v", run, err, first)
+		}
+	}
+}
+
+func TestCompileRejects(t *testing.T) {
+	inv := func(name, in, out string) Instance {
+		return Instance{Name: name, Cell: "INV_1X", Conns: map[string]string{"A": in, "OUT": out}}
+	}
+	for _, tc := range []struct {
+		name  string
+		insts []Instance
+		want  string
+	}{
+		{"unknown cell", []Instance{{Name: "u1", Cell: "XOR2_1X", Conns: map[string]string{"A": "A", "OUT": "Y"}}}, "unknown cell"},
+		{"unbound pin", []Instance{{Name: "u1", Cell: "NAND2_1X", Conns: map[string]string{"A": "A", "OUT": "Y"}}}, "unbound"},
+		{"no OUT", []Instance{{Name: "u1", Cell: "INV_1X", Conns: map[string]string{"A": "A"}}}, "no OUT"},
+		{"multiply driven", []Instance{inv("u1", "A", "Y"), inv("u2", "A", "Y")}, "driven by both"},
+		{"driven input", []Instance{inv("u1", "Y", "A")}, "primary input"},
+		{"undriven", []Instance{inv("u1", "ghost", "Y")}, "undriven"},
+		{"cycle", []Instance{inv("u1", "q", "p"), inv("u2", "p", "q")}, "cyclic"},
+	} {
+		nl := &Netlist{Name: tc.name, Inputs: []string{"A"}, Outputs: []string{"Y"}, Instances: tc.insts}
+		if _, err := Compile(nl); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Compile err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCompiledStructure pins the IR's layout on the full adder: nets in
+// Nets order, one driver per gate output, sorted instance pins, CSR
+// readers, and levels that respect every edge.
+func TestCompiledStructure(t *testing.T) {
+	fa := FullAdder()
+	c, err := Compile(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.Nets, fa.Nets()) {
+		t.Fatalf("Nets = %v, want %v", c.Nets, fa.Nets())
+	}
+	level := make([]int, len(c.Insts))
+	for l := 0; l+1 < len(c.LevelStart); l++ {
+		for _, i := range c.LevelOrder[c.LevelStart[l]:c.LevelStart[l+1]] {
+			level[i] = l
+		}
+	}
+	for i, ci := range c.Insts {
+		if c.Driver[ci.Out] != int32(i) {
+			t.Fatalf("%s: driver of its output = %d", ci.Name, c.Driver[ci.Out])
+		}
+		if !slices.IsSorted(ci.PinNames) {
+			t.Fatalf("%s: pins %v not sorted", ci.Name, ci.PinNames)
+		}
+		for k, net := range ci.PinNets {
+			if c.Nets[net] != fa.Instances[i].Conns[ci.PinNames[k]] {
+				t.Fatalf("%s.%s bound to %s", ci.Name, ci.PinNames[k], c.Nets[net])
+			}
+			if !slices.Contains(c.FanEdges[c.FanStart[net]:c.FanStart[net+1]], int32(i)) {
+				t.Fatalf("%s missing from the readers of %s", ci.Name, c.Nets[net])
+			}
+			if d := c.Driver[net]; d >= 0 && level[d] >= level[i] {
+				t.Fatalf("%s (level %d) reads %s driven at level %d", ci.Name, level[i], c.Nets[net], level[d])
+			}
+		}
 	}
 }
 
