@@ -1136,6 +1136,38 @@ func benchTransientSolver(b *testing.B, kind spice.SolverKind) {
 	}
 }
 
+// BenchmarkTransientAdaptive runs the full 8000-step delay testbenches
+// through the adaptive transient the delay stage uses, under the
+// automatic solver choice (the full adder dense, the rest sparse), and
+// reports the solver's work per solve: accepted steps, Newton
+// iterations and the share of FET stamps served by bypass.
+func BenchmarkTransientAdaptive(b *testing.B) {
+	k := kit(b)
+	for _, name := range []string{"fulladder", "rca4", "rca8", "mult4"} {
+		b.Run("n="+name, func(b *testing.B) {
+			b.ReportAllocs()
+			ckt := delayBench(b, k, name)
+			opt := spice.DefaultOptions()
+			opt.Adaptive = true
+			ws := &spice.Workspace{}
+			r, err := ckt.TransientWith(ws, 4000e-12, 8000, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := r.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ckt.TransientWith(ws, 4000e-12, 8000, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.Steps), "steps/op")
+			b.ReportMetric(float64(st.Newton), "newton/op")
+			b.ReportMetric(float64(st.Bypassed)/float64(st.Bypassed+st.FETEvals), "bypass_ratio")
+		})
+	}
+}
+
 // BenchmarkTransientDense forces the dense LU path across the registry
 // size ladder — the pre-sparse baseline.
 func BenchmarkTransientDense(b *testing.B) { benchTransientSolver(b, spice.SolverDense) }

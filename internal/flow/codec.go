@@ -36,6 +36,14 @@ import (
 // read as misses (the nldm and sta stages are new under this salt).
 const cacheSchema = "cnfetdk/flow@v4"
 
+// stepControl salts only the keys of the design-level transient stages
+// (delay/*, vardelay/*) with the step control of their transient. The
+// adaptive transient agrees with the fixed-step one to within 1e-5
+// relative, not bit for bit, so persisted fixed-step results must read
+// as misses; bumping cacheSchema instead would also retire every
+// persisted NLDM cell, which the change does not touch.
+const stepControl = "spice/step=adaptive@v1"
+
 // The registered codecs of the flow's serializable stage results. Every
 // stage Kit.Run schedules declares one of these (or a per-kit placement
 // codec below), which is what lets the artifact store's disk tier serve

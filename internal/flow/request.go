@@ -254,6 +254,12 @@ func (r *Request) stageKey(parts ...any) string {
 	return pipeline.Key(append(r.identity(), parts...)...)
 }
 
+// transientKey is stageKey for the design-level transient stages
+// (delay, vardelay), salted with the step control that computes them.
+func (r *Request) transientKey(parts ...any) string {
+	return r.stageKey(append(parts, stepControl)...)
+}
+
 // stimulusKeyParts renders a stimulus for cache keying in deterministic
 // order.
 func stimulusKeyParts(s Stimulus) []any {

@@ -150,8 +150,8 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 			})
 		}
 		if want[AnalysisDelay] {
-			add("delay/"+tn, req.stageKey(append([]any{"delay", tn, rk, scheme, rows, wireCap}, stimKey...)...), codecScalar, []string{"netlist", "wire/" + tn}, func(_ context.Context, d map[string]any) (any, error) {
-				dly, err := k.runDelay(lib, d["netlist"].(*synth.Netlist), d["wire/"+tn].(map[string]float64), stim)
+			add("delay/"+tn, req.transientKey(append([]any{"delay", tn, rk, scheme, rows, wireCap}, stimKey...)...), codecScalar, []string{"netlist", "wire/" + tn}, func(_ context.Context, d map[string]any) (any, error) {
+				dly, err := k.runDelay(lib, d["netlist"].(*synth.Netlist), d["wire/"+tn].(map[string]float64), stim, k.delayOptions())
 				if err != nil {
 					return nil, fmt.Errorf("flow: %s delay: %w", tech, err)
 				}
@@ -161,7 +161,7 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 				// The ensemble key pins only the channels that move
 				// timing (count, diameter): alignment sweeps share one
 				// vardelay entry per spread point.
-				add("vardelay/"+tn, req.stageKey(append([]any{"vardelay", tn, rk, scheme, rows, wireCap,
+				add("vardelay/"+tn, req.transientKey(append([]any{"vardelay", tn, rk, scheme, rows, wireCap,
 					vr.CountCV, vr.DiameterSigmaNM, varSamples, req.Seed}, stimKey...)...),
 					codecVarDelay, []string{"netlist", "wire/" + tn}, func(sctx context.Context, d map[string]any) (any, error) {
 						de, err := k.runVarDelay(sctx, lib, d["netlist"].(*synth.Netlist), d["wire/"+tn].(map[string]float64), stim, vr, varSamples, req.Seed)
@@ -423,8 +423,9 @@ func stimulusEnv(nl *synth.Netlist, stim Stimulus, pulseHigh bool) (map[string]b
 // the transistor level: static inputs at DC, the pulse input driven with
 // a full cycle, and every toggling primary output measured — inverting
 // outputs via the standard propagation-delay pair, non-inverting outputs
-// via both same-direction edges.
-func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus) (float64, error) {
+// via both same-direction edges. The delay stage solves it under
+// delayOptions.
+func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus, opt spice.Options) (float64, error) {
 	lo, err := stimulusEnv(nl, stim, false)
 	if err != nil {
 		return 0, err
@@ -447,9 +448,7 @@ func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]fl
 		return 0, err
 	}
 	period := addStimulus(ckt, stim)
-	opts := spice.DefaultOptions()
-	opts.Inject = k.faults
-	r, err := ckt.Transient(period, delaySteps, opts)
+	r, err := ckt.Transient(period, delaySteps, opt)
 	if err != nil {
 		return 0, err
 	}

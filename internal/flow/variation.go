@@ -44,7 +44,7 @@ func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Net
 		return nil, err
 	}
 	period := addStimulus(proto, stim)
-	opt := spice.DefaultOptions()
+	opt := k.delayOptions()
 	batch, err := spice.NewBatch(samples, proto, opt)
 	if err != nil {
 		return nil, fmt.Errorf("flow: vardelay batch plan: %w", err)
@@ -89,6 +89,16 @@ func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Net
 	}
 	out.SigmaS = math.Sqrt(ss / float64(samples))
 	return out, nil
+}
+
+// delayOptions are the solver options of the design-level delay
+// testbench: the grid-locked adaptive transient, with the kit's fault
+// injector armed.
+func (k *Kit) delayOptions() spice.Options {
+	opt := spice.DefaultOptions()
+	opt.Inject = k.faults
+	opt.Adaptive = true
+	return opt
 }
 
 // delayPeriod/delaySteps are the stimulus cycle of the design-level

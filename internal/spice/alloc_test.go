@@ -78,3 +78,25 @@ func TestOPSteadyStateAllocsBounded(t *testing.T) {
 		t.Fatalf("OP allocates %.1f allocs/op; the Newton loop must not allocate per iteration", avg)
 	}
 }
+
+// TestAdaptiveTransientSteadyStateZeroAlloc pins the zero-alloc
+// guarantee on the adaptive transient, on both solver paths: the bypass
+// cache and the corner list are sized by the first run and reused, so a
+// warm workspace strides, rejects and bypasses without allocating.
+func TestAdaptiveTransientSteadyStateZeroAlloc(t *testing.T) {
+	for _, solver := range []SolverKind{SolverDense, SolverSparse} {
+		c := adaptiveBench(t)
+		opt := adaptiveOpts()
+		opt.Solver = solver
+		ws := &Workspace{}
+		run := func() {
+			if _, err := c.TransientWith(ws, 4000e-12, 8000, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if avg := testing.AllocsPerRun(10, run); avg != 0 {
+			t.Fatalf("solver %d: steady-state adaptive transient allocates %.1f allocs/op, want 0", solver, avg)
+		}
+	}
+}

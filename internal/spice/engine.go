@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/fault"
@@ -59,7 +60,30 @@ type Options struct {
 	// Inject arms the solver's fault-injection points ("spice.newton"
 	// forces a typed non-convergence); nil — the default — is free.
 	Inject *fault.Injector
+	// Adaptive runs the transient grid-locked adaptive: quiescent
+	// stretches are crossed in strides of whole base steps and idle FETs
+	// re-stamp their cached companion instead of being re-evaluated.
+	// Unset — the default — is the fixed-step reference.
+	Adaptive bool
 }
+
+// The adaptive transient's tolerances. A stride is a whole number of
+// base steps h = tstop/steps, so every accepted time point lies on the
+// fixed path's grid.
+const (
+	// calmTol is the largest node change per base step of a calm step.
+	calmTol = 1e-4
+	// calmRun calm steps in a row double the stride.
+	calmRun = 4
+	// rejectTol is the largest node change a stride of more than one
+	// base step may make; a larger one is redone at stride 1.
+	rejectTol = 1e-2
+	// maxStride caps the stride, in base steps.
+	maxStride = 256
+	// bypassTol is how far every terminal of a FET may have moved since
+	// its last evaluation for the FET to re-stamp its cached companion.
+	bypassTol = 1e-6
+)
 
 // DefaultOptions returns robust defaults.
 func DefaultOptions() Options {
@@ -108,7 +132,18 @@ type state struct {
 	t      float64
 
 	staticOK bool // aStatic matches the current (deltaT, opt.Gmin)
+
+	// bypass re-stamps a FET's cached Norton companion while none of
+	// its terminals moved bypassTol since it was evaluated. fetCache
+	// holds fetCacheLen values per FET: the terminal voltages of the
+	// evaluation (vg, vd, vs; NaN until the first), then ieq, dIg, dId
+	// and dIs.
+	bypass   bool
+	fetCache []float64
+	stats    Stats
 }
+
+const fetCacheLen = 7
 
 // init sizes the scratch for a circuit, reusing any capacity the state
 // already holds, and resets the solution estimate to zero. On the
@@ -156,6 +191,12 @@ func (s *state) init(c *Circuit, opt Options) error {
 	zeroFloats(s.iPrev)
 	s.deltaT, s.t = 0, 0
 	s.staticOK = false
+	s.bypass = false
+	s.fetCache = growFloats(s.fetCache, fetCacheLen*len(c.FETs))
+	for i := 0; i < len(s.fetCache); i += fetCacheLen {
+		s.fetCache[i] = math.NaN()
+	}
+	s.stats = Stats{}
 	return nil
 }
 
@@ -347,15 +388,36 @@ func (s *state) prevV(node int) float64 {
 	return s.xPrev[node-1]
 }
 
-// stampFET linearizes the FET around the present estimate:
-// I(v) ≈ I0 + gG·(vg-vg0) + gD·(vd-vd0) + gS·(vs-vs0).
-// Only the Norton equivalent is stamped here; the FET's Gmin ties live in
-// the static matrix.
-func (s *state) stampFET(f *FET) {
+// norton linearizes FET fi around the present estimate:
+// I(v) ≈ I0 + gG·(vg-vg0) + gD·(vd-vd0) + gS·(vs-vs0), returned as the
+// Norton equivalent (current source ieq plus the three conductances).
+// Under bypass, a FET none of whose terminals moved bypassTol since its
+// last evaluation returns that evaluation's companion unchanged.
+func (s *state) norton(fi int) (ieq, dIg, dId, dIs float64) {
+	f := &s.c.FETs[fi]
 	vg, vd, vs := s.v(f.G), s.v(f.D), s.v(f.S)
+	if !s.bypass {
+		id, dIg, dId, dIs := fetEval(f.P, vg, vd, vs)
+		return id - dIg*vg - dId*vd - dIs*vs, dIg, dId, dIs
+	}
+	fc := s.fetCache[fi*fetCacheLen : fi*fetCacheLen+fetCacheLen]
+	if math.Abs(vg-fc[0]) < bypassTol && math.Abs(vd-fc[1]) < bypassTol && math.Abs(vs-fc[2]) < bypassTol {
+		s.stats.Bypassed++
+		return fc[3], fc[4], fc[5], fc[6]
+	}
 	id, dIg, dId, dIs := fetEval(f.P, vg, vd, vs)
-	// Norton equivalent: current source + conductances.
-	ieq := id - dIg*vg - dId*vd - dIs*vs
+	ieq = id - dIg*vg - dId*vd - dIs*vs
+	fc[0], fc[1], fc[2] = vg, vd, vs
+	fc[3], fc[4], fc[5], fc[6] = ieq, dIg, dId, dIs
+	return ieq, dIg, dId, dIs
+}
+
+// stampFET stamps FET fi's Norton linearization into the dense working
+// system. Only the Norton equivalent is stamped here; the FET's Gmin
+// ties live in the static matrix.
+func (s *state) stampFET(fi int) {
+	f := &s.c.FETs[fi]
+	ieq, dIg, dId, dIs := s.norton(fi)
 	// KCL at D: +id; at S: -id.
 	if di := s.idx(f.D); di >= 0 {
 		s.b[di] -= ieq
@@ -384,9 +446,7 @@ func (s *state) addA(r, c int, v float64) {
 // precomputed — six indexed adds, no searching, on the hot path.
 func (s *state) stampFETSparse(fi int) {
 	f := &s.c.FETs[fi]
-	vg, vd, vs := s.v(f.G), s.v(f.D), s.v(f.S)
-	id, dIg, dId, dIs := fetEval(f.P, vg, vd, vs)
-	ieq := id - dIg*vg - dId*vd - dIs*vs
+	ieq, dIg, dId, dIs := s.norton(fi)
 	if di := s.idx(f.D); di >= 0 {
 		s.b[di] -= ieq
 	}
@@ -462,54 +522,6 @@ func fetEval(p device.FETParams, vg, vd, vs float64) (id, dIg, dId, dIs float64)
 	return id, f1, f2, -f1 - f2
 }
 
-// fetEvalNumeric computes the drain current and centrally-differenced
-// terminal derivatives. It is the independent reference the analytic
-// fetEval is validated against (see TestFETDerivativeParity); the solver
-// itself uses fetEval, which shares one exp/tanh evaluation across the
-// current and all three derivatives.
-func fetEvalNumeric(p device.FETParams, vg, vd, vs float64) (id, dIg, dId, dIs float64) {
-	id = fetCurrent(p, vg, vd, vs)
-	const h = 1e-6
-	dIg = (fetCurrent(p, vg+h, vd, vs) - fetCurrent(p, vg-h, vd, vs)) / (2 * h)
-	dId = (fetCurrent(p, vg, vd+h, vs) - fetCurrent(p, vg, vd-h, vs)) / (2 * h)
-	dIs = (fetCurrent(p, vg, vd, vs+h) - fetCurrent(p, vg, vd, vs-h)) / (2 * h)
-	return id, dIg, dId, dIs
-}
-
-// fetCurrent returns the drain-to-source current of the smooth FET model.
-func fetCurrent(p device.FETParams, vg, vd, vs float64) float64 {
-	vgs := vg - vs
-	vds := vd - vs
-	if p.Polarity == device.PType {
-		vgs = vs - vg
-		vds = vs - vd
-	}
-	sign := 1.0
-	if vds < 0 {
-		// Symmetric device: treat the lower terminal as the source. The
-		// effective gate drive is measured from the new source (the old
-		// drain): vgs' = vg - vd = vgs - vds.
-		vgs -= vds
-		vds = -vds
-		sign = -1
-	}
-	u := (vgs - p.Vt) / p.SS
-	var g float64
-	switch {
-	case u > 40:
-		g = 1
-	case u < -40:
-		g = 0
-	default:
-		g = 1 / (1 + math.Exp(-u))
-	}
-	i := sign * p.ISat * g * math.Tanh(vds/p.VSat)
-	if p.Polarity == device.PType {
-		i = -i
-	}
-	return i
-}
-
 // newton iterates the nonlinear solve at the present time point. The
 // static stamps and the per-time-point RHS are assembled once; each
 // iteration copy-restores them and re-applies only the FET
@@ -528,6 +540,7 @@ func (s *state) newton() error {
 	}
 	s.stampStep()
 	for it := 0; it < s.opt.MaxNewton; it++ {
+		s.stats.Newton++
 		copy(s.b, s.bStep)
 		// We assemble full equations in terms of absolute unknowns, so
 		// the solve yields x_new directly.
@@ -545,7 +558,7 @@ func (s *state) newton() error {
 		} else {
 			copy(s.a, s.aStatic)
 			for i := range s.c.FETs {
-				s.stampFET(&s.c.FETs[i])
+				s.stampFET(i)
 			}
 			if err := lu(s.a, s.b, s.perm, s.dim); err != nil {
 				var se *singularError
@@ -588,6 +601,9 @@ func (s *state) newton() error {
 type Workspace struct {
 	st  state
 	res Result
+	// corners holds the base-step grid indices of the stimulus corners
+	// of the latest adaptive transient (see strideCorners).
+	corners []float64
 }
 
 // OP computes the DC operating point. It first tries a direct solve, then
@@ -620,6 +636,23 @@ type Result struct {
 	// IV[src][k] is the branch current of voltage source src at Times[k];
 	// positive current flows from P to N inside the source.
 	IV [][]float64
+	// Stats counts the work the solve took.
+	Stats Stats
+}
+
+// Stats are a transient's solver counters.
+type Stats struct {
+	// Steps is the number of accepted time points after t = 0.
+	Steps int
+	// Newton is the number of Newton iterations, operating point
+	// included.
+	Newton int
+	// Rejected is the number of strides redone at stride 1.
+	Rejected int
+	// FETEvals is the number of FET model evaluations.
+	FETEvals int
+	// Bypassed is the number of FET stamps served from the bypass cache.
+	Bypassed int
 }
 
 // reset sizes the result for a run of steps+1 samples over the circuit,
@@ -631,6 +664,17 @@ func (r *Result) reset(c *Circuit, steps int) {
 	nNodes := c.NodeCount() - 1
 	r.V = growWaves(r.V, nNodes, samples)
 	r.IV = growWaves(r.IV, len(c.VSources), samples)
+}
+
+// trim cuts every waveform to its first samples entries.
+func (r *Result) trim(samples int) {
+	r.Times = r.Times[:samples]
+	for i := range r.V {
+		r.V[i] = r.V[i][:samples]
+	}
+	for i := range r.IV {
+		r.IV[i] = r.IV[i][:samples]
+	}
 }
 
 // growWaves sizes an outer×samples waveform matrix, reusing capacity.
@@ -646,9 +690,9 @@ func growWaves(w [][]float64, outer, samples int) [][]float64 {
 	return w
 }
 
-// Transient runs a fixed-step trapezoidal transient from 0 to tstop with
-// the given number of steps. The DC operating point at t=0 initializes
-// state.
+// Transient runs a trapezoidal transient from 0 to tstop over a grid of
+// the given number of base steps. The DC operating point at t=0
+// initializes state.
 func (c *Circuit) Transient(tstop float64, steps int, opt Options) (*Result, error) {
 	return c.TransientWith(nil, tstop, steps, opt)
 }
@@ -658,6 +702,16 @@ func (c *Circuit) Transient(tstop float64, steps int, opt Options) (*Result, err
 // loop of same-shaped solves stops allocating after the first. The
 // returned Result aliases ws and is only valid until the next solve on
 // the same workspace; pass nil for a one-shot solve.
+//
+// The fixed-step transient (opt.Adaptive unset) takes every base step
+// h = tstop/steps. The adaptive one walks the same grid, t = k·h always,
+// but takes a stride of several base steps where the circuit is calm:
+// after calmRun steps in a row that each moved no node more than calmTol
+// per base step, the stride doubles, up to maxStride. A stride never
+// crosses a stimulus corner and restarts at 1 on one, so every edge is
+// simulated base step by base step. A stride that moves a node more than
+// rejectTol, or fails to converge, is redone at stride 1; one that fails
+// on an injected fault returns it.
 func (c *Circuit) TransientWith(ws *Workspace, tstop float64, steps int, opt Options) (*Result, error) {
 	if ws == nil {
 		ws = &Workspace{}
@@ -676,27 +730,59 @@ func (c *Circuit) TransientWith(ws *Workspace, tstop float64, steps int, opt Opt
 		}
 		s.setGmin(opt.Gmin)
 	}
-	dt := tstop / float64(steps)
+	h := tstop / float64(steps)
 	res := &ws.res
 	res.reset(c, steps)
-	record := func(k int) {
-		res.Times[k] = s.t
+	samples := 0
+	record := func() {
+		res.Times[samples] = s.t
 		for i := 0; i < s.n; i++ {
-			res.V[i][k] = s.x[i]
+			res.V[i][samples] = s.x[i]
 		}
 		for i := range c.VSources {
-			res.IV[i][k] = s.x[s.n+i]
+			res.IV[i][samples] = s.x[s.n+i]
 		}
+		samples++
 	}
-	record(0)
+	record()
 	copy(s.xPrev, s.x)
 	// Initialize capacitor currents at 0 (consistent DC).
 	zeroFloats(s.iPrev)
-	s.setDeltaT(dt)
-	for k := 1; k <= steps; k++ {
-		s.t = float64(k) * dt
-		if err := s.newton(); err != nil {
+
+	// corners lists the stimulus corners as grid indices; canStride is
+	// false when a source's corners are unknown.
+	var corners []float64
+	canStride := false
+	if opt.Adaptive {
+		corners, canStride = ws.strideCorners(c, tstop, h)
+		s.bypass = true
+	}
+	stride, calm, next := 1, 0, 0
+	for k := 0; k < steps; {
+		span := min(stride, steps-k)
+		if next < len(corners) {
+			span = min(span, int(corners[next])-k)
+		}
+		dt := h
+		if span > 1 {
+			dt = float64(span) * h
+		}
+		s.setDeltaT(dt)
+		s.t = float64(k+span) * h
+		err := s.newton()
+		if err != nil && (span == 1 || !genuineNoConvergence(err)) {
 			return nil, err
+		}
+		move := 0.0
+		if err == nil && opt.Adaptive {
+			move = s.maxMove()
+		}
+		if err != nil || (span > 1 && move > rejectTol) {
+			// Redo the interval from its start at stride 1.
+			copy(s.x, s.xPrev)
+			stride, calm = 1, 0
+			s.stats.Rejected++
+			continue
 		}
 		// Update capacitor branch currents for the trapezoidal history:
 		// i_new = geq*(v_new - v_prev) - i_prev.
@@ -707,7 +793,81 @@ func (c *Circuit) TransientWith(ws *Workspace, tstop float64, steps int, opt Opt
 			s.iPrev[ci] = geq*(vNew-vPrev) - s.iPrev[ci]
 		}
 		copy(s.xPrev, s.x)
-		record(k)
+		k += span
+		record()
+		s.stats.Steps++
+		switch {
+		case !canStride:
+		case next < len(corners) && k == int(corners[next]):
+			next++
+			stride, calm = 1, 0
+		case move <= calmTol*float64(span):
+			if calm++; calm == calmRun && stride < maxStride {
+				stride, calm = 2*stride, 0
+			}
+		default:
+			stride, calm = 1, 0
+		}
 	}
+	res.trim(samples)
+	res.Stats = s.stats
+	// Every Newton iteration stamps every FET once.
+	res.Stats.FETEvals = res.Stats.Newton*len(c.FETs) - res.Stats.Bypassed
 	return res, nil
+}
+
+// genuineNoConvergence reports whether err is a Newton non-convergence
+// of the solver itself, not an injected one.
+func genuineNoConvergence(err error) bool {
+	var ce *ConvergenceError
+	return errors.As(err, &ce) && ce.Cause == nil
+}
+
+// maxMove returns the largest node-voltage change since the last
+// accepted time point.
+func (s *state) maxMove() float64 {
+	m := 0.0
+	for i := 0; i < s.n; i++ {
+		m = math.Max(m, math.Abs(s.x[i]-s.xPrev[i]))
+	}
+	return m
+}
+
+// strideCorners collects the corners of every source waveform in
+// (0, tstop) as the grid indices floor(t/h), sorted and distinct: the
+// base step a corner falls in is then always simulated as one step.
+// ok is false when a source's waveform does not list its corners; the
+// adaptive transient then keeps stride 1 and only bypasses.
+func (ws *Workspace) strideCorners(c *Circuit, tstop, h float64) (corners []float64, ok bool) {
+	ts := ws.corners[:0]
+	collect := func(w Waveform) bool {
+		cw, ok := w.(cornered)
+		if ok {
+			ts, ok = cw.corners(ts, tstop)
+		}
+		return ok
+	}
+	for _, v := range c.VSources {
+		if !collect(v.W) {
+			ws.corners = ts
+			return nil, false
+		}
+	}
+	for _, i := range c.ISources {
+		if !collect(i.W) {
+			ws.corners = ts
+			return nil, false
+		}
+	}
+	// A corner in the first base step needs no stop: that step is
+	// always taken alone.
+	kept := ts[:0]
+	for _, t := range ts {
+		if k := math.Floor(t / h); k >= 1 {
+			kept = append(kept, k)
+		}
+	}
+	slices.Sort(kept)
+	ws.corners = slices.Compact(kept)
+	return ws.corners, true
 }

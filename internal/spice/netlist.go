@@ -1,7 +1,9 @@
 // Package spice is a compact circuit simulator: modified nodal analysis
 // with Newton-Raphson for the nonlinear FET models, DC operating point
-// with gmin stepping, and fixed-step trapezoidal transient analysis with
-// delay/energy measurement helpers. Small systems factorize with dense
+// with gmin stepping, and trapezoidal transient analysis with
+// delay/energy measurement helpers. The transient takes fixed steps, or
+// (Options.Adaptive) strides of whole steps over quiescent stretches
+// with bypass of idle FETs. Small systems factorize with dense
 // partial-pivot LU; above a crossover the solver switches to a sparse LU
 // whose symbolic work (fill-reducing ordering, elimination structure,
 // stamp slots) is planned once per topology and reused across Newton
@@ -79,6 +81,54 @@ func (p PWL) At(t float64) float64 {
 		}
 	}
 	return p.V[len(p.V)-1]
+}
+
+// cornered is implemented by the waveforms that can list their corners,
+// the times at which their slope may change. The adaptive transient
+// never strides across a corner.
+type cornered interface {
+	// corners appends the waveform's corners in (0, tstop) to dst; ok
+	// is false when it cannot list them all.
+	corners(dst []float64, tstop float64) (out []float64, ok bool)
+}
+
+// corners of a constant: none.
+func (DC) corners(dst []float64, _ float64) ([]float64, bool) { return dst, true }
+
+// maxPulseCycles bounds the pulse periods corners lists; a pulse that
+// repeats more often within one transient is not strided over.
+const maxPulseCycles = 1024
+
+// corners of a pulse: each cycle's rise start and end, fall start and
+// end.
+func (p Pulse) corners(dst []float64, tstop float64) ([]float64, bool) {
+	for n := 0; ; n++ {
+		t0 := p.Delay + float64(n)*p.Period
+		if t0 >= tstop {
+			return dst, true
+		}
+		if n == maxPulseCycles {
+			return dst, false
+		}
+		for _, t := range [4]float64{t0, t0 + p.Rise, t0 + p.Rise + p.W, t0 + p.Rise + p.W + p.Fall} {
+			if t > 0 && t < tstop {
+				dst = append(dst, t)
+			}
+		}
+		if p.Period <= 0 {
+			return dst, true
+		}
+	}
+}
+
+// corners of a piecewise-linear waveform: its breakpoints.
+func (p PWL) corners(dst []float64, tstop float64) ([]float64, bool) {
+	for _, t := range p.T {
+		if t > 0 && t < tstop {
+			dst = append(dst, t)
+		}
+	}
+	return dst, true
 }
 
 // Circuit is a flat netlist. Node "0" (alias "GND") is ground.
